@@ -5,6 +5,10 @@ Paper setup: each Bloom filter summarizes 1 M mappings; the RLI holds 1,
 for 1 and 10 filters — much faster than the relational store (Figure 9) —
 dropping substantially at 100 filters because every query probes every
 filter.
+
+A second bench gates the cross-figure shape: on the same names, a
+1-filter Bloom RLI must answer at least ``BLOOM_OVER_RELATIONAL`` times as
+many queries per second as a relational-store RLI (Figure 9's setup).
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ from benchmarks.common import (
     write_bench_artifact,
 )
 from repro.workload.driver import LoadDriver
-from repro.workload.scenarios import loaded_rli_server_bloom
+from repro.workload.scenarios import (
+    loaded_rli_server_bloom,
+    loaded_rli_server_uncompressed,
+)
 
 PAPER_ENTRIES_PER_FILTER = 1_000_000
 FILTER_COUNTS = [1, 10, 100]
@@ -28,6 +35,10 @@ PAPER_RATE = {
     10: {1: 10000, 4: 11500, 10: 11500},
     100: {1: 2500, 4: 3000, 10: 3000},
 }
+#: Figure 9's 1-client relational rate, for the cross-figure ratio.
+PAPER_RELATIONAL_RATE = 2900
+#: Paper: ~11000 vs ~2900 queries/s (3.8x); gated well below that.
+BLOOM_OVER_RELATIONAL = 1.5
 
 
 @pytest.fixture(scope="module", params=FILTER_COUNTS)
@@ -118,3 +129,46 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
         # Cross-series shape: 100 filters must be much slower than 1 filter.
         for c in CLIENT_COUNTS:
             assert RESULTS[100][c] < 0.5 * RESULTS[1][c]
+
+
+def bench_fig10_bloom_beats_relational(benchmark):
+    """Bloom ≫ DB-backed RLI: 1 filter vs the relational store, same names."""
+    entries = scaled(PAPER_ENTRIES_PER_FILTER)
+    bloom_server, lfns = loaded_rli_server_bloom(
+        entries, num_filters=1, name="fig10-vs-bloom"
+    )
+    relational_server, _ = loaded_rli_server_uncompressed(
+        entries, num_lrcs=1, name="fig10-vs-relational"
+    )
+    try:
+        op = LoadDriver.rli_query_op(lfns[:: max(1, len(lfns) // 2000)])
+
+        def rate(server):
+            return measure_rate(
+                server.config.name, op, 1, 3, total_operations=3000, trials=2
+            )
+
+        bloom_rate = rate(bloom_server)
+        relational_rate = rate(relational_server)
+        benchmark.pedantic(lambda: rate(bloom_server), rounds=1, iterations=1)
+    finally:
+        bloom_server.stop()
+        relational_server.stop()
+
+    ratio = bloom_rate / relational_rate
+    record_series(
+        "Figure 10 vs Figure 9 — 1 Bloom filter vs relational RLI "
+        "(queries/s, 1 client x 3 threads)",
+        ["store", "paper", "ours"],
+        [
+            ["1 Bloom filter", PAPER_RATE[1][1], f"{bloom_rate:.0f}"],
+            ["relational", PAPER_RELATIONAL_RATE, f"{relational_rate:.0f}"],
+            [
+                "ratio",
+                f"{PAPER_RATE[1][1] / PAPER_RELATIONAL_RATE:.1f}x",
+                f"{ratio:.1f}x",
+            ],
+        ],
+        notes=[f"gate: Bloom >= {BLOOM_OVER_RELATIONAL}x relational"],
+    )
+    assert bloom_rate >= BLOOM_OVER_RELATIONAL * relational_rate

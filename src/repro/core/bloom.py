@@ -36,7 +36,7 @@ DEFAULT_NUM_HASHES = 3
 _MIN_BITS = 1024
 
 
-def _base_hashes(name: str) -> tuple[int, int]:
+def base_hashes(name: str) -> tuple[int, int]:
     """Two independent 64-bit hashes of ``name`` (BLAKE2b, stable)."""
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=16).digest()
     return (
@@ -45,13 +45,24 @@ def _base_hashes(name: str) -> tuple[int, int]:
     )
 
 
-def probe_positions(name: str, num_bits: int, num_hashes: int) -> list[int]:
-    """Bit positions set for ``name`` in a filter of ``num_bits`` bits."""
-    h1, h2 = _base_hashes(name)
+def hashed_positions(
+    h1: int, h2: int, num_bits: int, num_hashes: int
+) -> list[int]:
+    """Double-hashing probe sequence ``h1 + i*h2 (mod num_bits)``.
+
+    The one place probe positions are derived: every add, remove and
+    membership test goes through here, so a filter built by a remote LRC
+    is probed at the same bits by the RLI.
+    """
     # Force h2 odd so the probe sequence cycles through the whole table
     # even when num_bits is even.
     h2 |= 1
     return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
+
+
+def probe_positions(name: str, num_bits: int, num_hashes: int) -> list[int]:
+    """Bit positions set for ``name`` in a filter of ``num_bits`` bits."""
+    return hashed_positions(*base_hashes(name), num_bits, num_hashes)
 
 
 def size_for_entries(
@@ -93,6 +104,17 @@ class BloomParameters:
         num_hashes: int = DEFAULT_NUM_HASHES,
     ) -> "BloomParameters":
         return cls(size_for_entries(expected_entries, bits_per_entry), num_hashes)
+
+    def probes(self, h1: int, h2: int) -> tuple[tuple[int, int], ...]:
+        """``(byte index, bit mask)`` of each probe for the hashes ``h1, h2``.
+
+        Derived once per name and parameter set, then tested against any
+        number of filters with :meth:`BloomFilter.contains_probes`.
+        """
+        return tuple(
+            (pos >> 3, 1 << (pos & 7))
+            for pos in hashed_positions(h1, h2, self.num_bits, self.num_hashes)
+        )
 
 
 class BloomFilter:
@@ -145,17 +167,23 @@ class BloomFilter:
         flat: list[int] = []
         extend = flat.extend
         for name in names:
-            h1, h2 = _base_hashes(name)
-            h2 |= 1
-            extend((h1 + i * h2) % nbits for i in range(k))
+            extend(probe_positions(name, nbits, k))
         return np.asarray(flat, dtype=np.int64)
 
     # -- queries ------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
+        return self.contains_probes(self.params.probes(*base_hashes(name)))
+
+    def contains_probes(self, probes: Sequence[tuple[int, int]]) -> bool:
+        """Membership test from precomputed :meth:`BloomParameters.probes`.
+
+        Lets a caller holding many filters with the same parameters hash a
+        name once and test every filter without rehashing it.
+        """
         bits = self.bits
-        for pos in probe_positions(name, self.params.num_bits, self.params.num_hashes):
-            if not (bits[pos >> 3] >> (pos & 7)) & 1:
+        for byte, mask in probes:
+            if not bits[byte] & mask:
                 return False
         return True
 

@@ -14,7 +14,15 @@ paper's v2.0.9 behaviour it keeps two stores:
   Bloom filters and raise :class:`WildcardNotSupportedError` (§5.4).
 
 A query consults both stores, since different LRCs may update the same RLI
-in different modes.
+in different modes, and answers relational hits first, then Bloom hits in
+filter arrival order.  The query path touches the database only when the
+relational store holds rows: ``t_map``'s live-row count is read first, and
+with no rows the three-table join is skipped, since it could match nothing.
+The Bloom side reads an immutable snapshot of the filters without taking a
+lock, hashes the name once, derives the probe bits once per parameter set,
+and tests every filter against those bits (:meth:`BloomFilter.contains_probes`).
+:meth:`bulk_query` takes the snapshot and the emptiness check once for all
+its names.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.core.bloom import BloomFilter, BloomParameters
+from repro.core.bloom import BloomFilter, BloomParameters, base_hashes
 from repro.core.errors import (
     MappingNotFoundError,
     WildcardNotSupportedError,
@@ -88,6 +96,9 @@ class ReplicaLocationIndex:
         self.clock = clock
         self._bloom_lock = threading.RLock()
         self._bloom: dict[str, _BloomEntry] = {}
+        # (lrc, filter) pairs in arrival order, rebuilt under _bloom_lock on
+        # every change to _bloom; queries read it without the lock.
+        self._filters: tuple[tuple[str, BloomFilter], ...] = ()
         self._write_lock = threading.RLock()
         self.updates_applied = 0
         # Wall-clock receipt time of the newest soft-state update per LRC
@@ -282,12 +293,23 @@ class ReplicaLocationIndex:
                 entry.bloom = bloom
                 entry.received_at = now
                 entry.updates_received += 1
+            self._refresh_filters()
             self.updates_applied += 1
         self._record_apply("bloom", lrc_name, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def _refresh_filters(self) -> None:
+        """Republish the query snapshot; call with ``_bloom_lock`` held."""
+        self._filters = tuple(
+            (name, entry.bloom) for name, entry in self._bloom.items()
+        )
+
+    def _has_relational_rows(self) -> bool:
+        """Whether the relational store holds any mapping (live rows)."""
+        return self.conn.database.table("t_map").row_count > 0
 
     def query(self, lfn: str) -> list[str]:
         """LRC names that (probably) hold mappings for ``lfn``.
@@ -296,12 +318,25 @@ class ReplicaLocationIndex:
         clients recover by querying the returned LRCs (§3.2).  Raises
         :class:`MappingNotFoundError` when no LRC matches.
         """
-        results = self._query_relational(lfn)
-        bits_hits = self._query_bloom(lfn)
-        combined = list(dict.fromkeys(results + bits_hits))
-        if not combined:
+        hits = self._lookup(lfn, self._has_relational_rows(), self._filters)
+        if not hits:
             raise MappingNotFoundError(f"logical name not indexed: {lfn}")
-        return combined
+        return hits
+
+    def _lookup(
+        self,
+        lfn: str,
+        relational: bool,
+        filters: tuple[tuple[str, BloomFilter], ...],
+    ) -> list[str]:
+        """Relational hits, then Bloom hits not already listed."""
+        table_hits = self._query_relational(lfn) if relational else []
+        bloom_hits = self._query_bloom(lfn, filters) if filters else []
+        if not table_hits:
+            return bloom_hits
+        if not bloom_hits:
+            return table_hits
+        return list(dict.fromkeys(table_hits + bloom_hits))
 
     def _query_relational(self, lfn: str) -> list[str]:
         rows = self.conn.execute(
@@ -313,19 +348,33 @@ class ReplicaLocationIndex:
         ).rows
         return [r[0] for r in rows]
 
-    def _query_bloom(self, lfn: str) -> list[str]:
-        with self._bloom_lock:
-            entries = list(self._bloom.items())
-        return [name for name, entry in entries if lfn in entry.bloom]
+    @staticmethod
+    def _query_bloom(
+        lfn: str, filters: tuple[tuple[str, BloomFilter], ...]
+    ) -> list[str]:
+        h1, h2 = base_hashes(lfn)
+        # Keyed by a plain tuple: hashing the dataclass costs ~4x more.
+        probes_for: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        hits = []
+        for name, bloom in filters:
+            params = bloom.params
+            key = (params.num_bits, params.num_hashes)
+            probes = probes_for.get(key)
+            if probes is None:
+                probes = probes_for[key] = params.probes(h1, h2)
+            if bloom.contains_probes(probes):
+                hits.append(name)
+        return hits
 
     def bulk_query(self, lfns: Sequence[str]) -> dict[str, list[str]]:
         """Query many LFNs; names with no hits are omitted from the result."""
+        relational = self._has_relational_rows()
+        filters = self._filters
         result: dict[str, list[str]] = {}
         for lfn in lfns:
-            try:
-                result[lfn] = self.query(lfn)
-            except MappingNotFoundError:
-                continue
+            hits = self._lookup(lfn, relational, filters)
+            if hits:
+                result[lfn] = hits
         return result
 
     def query_wildcard(self, pattern: str) -> list[tuple[str, str]]:
@@ -336,12 +385,11 @@ class ReplicaLocationIndex:
         be enumerated (§5.4: wildcard searches "are not possible when using
         Bloom filter compression").
         """
-        with self._bloom_lock:
-            if self._bloom:
-                raise WildcardNotSupportedError(
-                    "RLI holds Bloom-filter state; wildcard queries are "
-                    "not supported"
-                )
+        if self._filters:
+            raise WildcardNotSupportedError(
+                "RLI holds Bloom-filter state; wildcard queries are "
+                "not supported"
+            )
         like = wildcard_to_like(pattern) if has_wildcard(pattern) else pattern
         rows = self.conn.execute(
             "SELECT l.name, c.name FROM t_lfn l "
@@ -361,16 +409,22 @@ class ReplicaLocationIndex:
         relational = [
             r[0] for r in self.conn.execute("SELECT name FROM t_lrc").rows
         ]
-        with self._bloom_lock:
-            blooms = list(self._bloom)
-        return sorted(set(relational) | set(blooms))
+        blooms = {name for name, _bloom in self._filters}
+        return sorted(set(relational) | blooms)
 
     def mapping_count(self) -> int:
         return int(self.conn.execute("SELECT COUNT(*) FROM t_map").scalar())
 
     def bloom_filter_count(self) -> int:
-        with self._bloom_lock:
-            return len(self._bloom)
+        return len(self._filters)
+
+    def bloom_state(self) -> dict[str, BloomFilter]:
+        """Snapshot of the Bloom store: each LRC's current filter.
+
+        A stored filter is never mutated (an update replaces the object),
+        so callers may read the snapshot without holding any lock.
+        """
+        return dict(self._filters)
 
     def bloom_stats(self) -> dict[str, dict[str, float]]:
         with self._bloom_lock:
@@ -422,6 +476,8 @@ class ReplicaLocationIndex:
             for name in stale_blooms:
                 del self._bloom[name]
                 dropped += 1
+            if stale_blooms:
+                self._refresh_filters()
         if dropped:
             self._m_expired.inc(dropped)
         return dropped

@@ -1,6 +1,11 @@
 """ReplicaLocationIndex tests: both stores, expiry, wildcard restrictions."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter, BloomParameters
 from repro.core.errors import MappingNotFoundError, WildcardNotSupportedError
@@ -25,14 +30,18 @@ def clock():
     return FakeClock()
 
 
-@pytest.fixture
-def rli(clock):
+def make_rli(clock):
     engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
     index = ReplicaLocationIndex(
         Connection(engine, "rli-test"), name="rli-test", timeout=60.0, clock=clock
     )
     index.init_schema()
     return index
+
+
+@pytest.fixture
+def rli(clock):
+    return make_rli(clock)
 
 
 def bloom_payload(names, entries=None):
@@ -206,3 +215,188 @@ class TestManagement:
         rli.apply_incremental_update("a", ["y"], [])
         rli.apply_bloom_update("b", *bloom_payload(["z"]))
         assert rli.updates_applied == 3
+
+
+class TestBloomState:
+    def test_snapshot_tracks_replacement_and_expiry(self, rli, clock):
+        rli.apply_bloom_update("lrcA", *bloom_payload(["a"]))
+        first = rli.bloom_state()["lrcA"]
+        assert "a" in first
+        rli.apply_bloom_update("lrcA", *bloom_payload(["b"]))
+        assert rli.bloom_state()["lrcA"] is not first
+        assert "a" in first  # an old snapshot is never mutated
+        clock.advance(61.0)
+        rli.expire_once()
+        assert rli.bloom_state() == {}
+
+
+JOIN = (
+    "SELECT c.name FROM t_lfn l JOIN t_map m ON l.id = m.lfn_id "
+    "JOIN t_lrc c ON m.pfn_id = c.id WHERE l.name = ?"
+)
+
+
+def oracle(rli, filters, lfn):
+    """The join, then every filter holding ``lfn``, deduplicated in order."""
+    table = [r[0] for r in rli.conn.execute(JOIN, [lfn]).rows]
+    blooms = [name for name, bloom in filters.items() if lfn in bloom]
+    return list(dict.fromkeys(table + blooms))
+
+
+def check_against_oracle(rli, filters, names):
+    expected = {lfn: oracle(rli, filters, lfn) for lfn in names}
+    for lfn, hits in expected.items():
+        if hits:
+            assert rli.query(lfn) == hits
+        else:
+            with pytest.raises(MappingNotFoundError):
+                rli.query(lfn)
+    assert rli.bulk_query(names) == {n: h for n, h in expected.items() if h}
+
+
+NAMES = [f"n{i}" for i in range(8)]
+UNHELD = ["ghost0", "ghost1"]
+FILTER_SIZES = [16, 300]  # 1024 and 3000 bits
+name_sets = st.lists(st.sampled_from(NAMES), max_size=5, unique=True)
+operations = st.one_of(
+    st.tuples(
+        st.just("bloom"),
+        st.sampled_from(["b0", "b1", "b2"]),
+        name_sets,
+        st.sampled_from(FILTER_SIZES),
+    ),
+    st.tuples(st.just("full"), st.sampled_from(["r0", "r1"]), name_sets),
+    st.tuples(
+        st.just("incremental"), st.sampled_from(["r0", "r1"]), name_sets, name_sets
+    ),
+    st.tuples(st.just("expire"), st.sampled_from([0.0, 25.0, 45.0, 70.0])),
+)
+
+
+class TestQueryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(operations, max_size=20))
+    def test_query_and_bulk_query_match_oracle(self, ops):
+        """Random interleavings of both stores' updates and expiry."""
+        clock = FakeClock()
+        rli = make_rli(clock)
+        # The model's own view of the Bloom store: lrc -> (filter, received).
+        model: dict[str, tuple[BloomFilter, float]] = {}
+        for op in ops:
+            kind = op[0]
+            if kind == "bloom":
+                _, lrc, names, size = op
+                payload = bloom_payload(names, entries=size)
+                rli.apply_bloom_update(lrc, *payload)
+                params = BloomParameters(payload[1], payload[2])
+                model[lrc] = (BloomFilter.from_bytes(payload[0], params), clock())
+            elif kind == "full":
+                rli.apply_full_update(op[1], op[2])
+            elif kind == "incremental":
+                rli.apply_incremental_update(op[1], op[2], op[3])
+            else:
+                clock.advance(op[1])
+                rli.expire_once()
+                cutoff = clock() - rli.timeout
+                model = {
+                    lrc: (bloom, at)
+                    for lrc, (bloom, at) in model.items()
+                    if at >= cutoff
+                }
+            filters = {lrc: bloom for lrc, (bloom, _at) in model.items()}
+            check_against_oracle(rli, filters, NAMES + UNHELD)
+
+    def test_relational_store_empty_then_full_then_empty(self, rli, clock):
+        """The join is skipped only while ``t_map`` holds no rows."""
+        rli.apply_bloom_update("b0", *bloom_payload(["x", "y"]))
+        filters = rli.bloom_state()
+        executed = []
+        execute = rli.conn.execute
+
+        def counting_execute(sql, params=()):
+            executed.append(sql)
+            return execute(sql, params)
+
+        rli.conn.execute = counting_execute
+        check_against_oracle(rli, filters, ["x", "y", "ghost"])
+        executed.clear()
+        assert rli.query("x") == ["b0"]
+        assert rli.bulk_query(["x", "ghost"]) == {"x": ["b0"]}
+        assert executed == []  # no SQL at all on the Bloom-only path
+
+        rli.apply_full_update("r0", ["x", "z"])
+        check_against_oracle(rli, filters, ["x", "y", "z", "ghost"])
+        assert rli.query("x") == ["r0", "b0"]
+        assert rli.query("z") == ["r0"]
+
+        rli.apply_incremental_update("r0", [], ["x"])
+        assert rli.query("x") == ["b0"]
+        clock.advance(61.0)
+        rli.apply_bloom_update("b0", *bloom_payload(["x", "y"]))
+        filters = rli.bloom_state()
+        rli.expire_once()
+        assert rli.mapping_count() == 0
+        check_against_oracle(rli, filters, ["x", "y", "z", "ghost"])
+        executed.clear()
+        assert rli.query("x") == ["b0"]
+        assert executed == []
+
+    def test_bulk_query_equals_per_name_query(self, rli):
+        rli.apply_full_update("r0", ["a", "shared"])
+        rli.apply_bloom_update("b0", *bloom_payload(["b", "shared"]))
+        names = ["a", "b", "shared", "missing", "also-missing"]
+        expected = {}
+        for lfn in names:
+            try:
+                expected[lfn] = rli.query(lfn)
+            except MappingNotFoundError:
+                pass
+        assert set(expected) >= {"a", "b", "shared"}
+        assert rli.bulk_query(names) == expected
+
+
+class TestConcurrentReplacement:
+    def test_queries_racing_replacements_never_miss(self, rli):
+        """A filter replaced mid-query is seen whole: old or new, never none."""
+        payloads = [
+            bloom_payload(["target", f"other{i}"], entries=size)
+            for i, size in enumerate(FILTER_SIZES * 2)
+        ]
+        rli.apply_bloom_update("b0", *payloads[0])
+        rli.apply_bloom_update("b1", *bloom_payload(["unrelated"]))
+        readers = 3
+        start = threading.Barrier(readers + 1, timeout=30)
+        writing = threading.Event()
+        writing.set()
+        misses = []
+
+        def replace():
+            start.wait()
+            for i in range(2000):
+                rli.apply_bloom_update("b0", *payloads[i % len(payloads)])
+            writing.clear()
+
+        def read():
+            start.wait()
+            for _ in range(20000):  # bounded; normally ends with the writer
+                if "b0" not in rli.query("target"):
+                    misses.append("query")
+                if "b0" not in rli.bulk_query(["target"]).get("target", []):
+                    misses.append("bulk_query")
+                if not writing.is_set():
+                    break
+
+        threads = [threading.Thread(target=replace)]
+        threads += [threading.Thread(target=read) for _ in range(readers)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not writing.is_set()
+        assert misses == []
